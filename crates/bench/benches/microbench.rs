@@ -6,7 +6,8 @@
 //! * best-fit fragment allocator throughput;
 //! * IMRS point operations vs page-store point operations (§III's
 //!   contention/locality motivation);
-//! * hash-index fast path vs B+tree point lookup (§II);
+//! * hash-index fast path vs B+tree point lookup (§II), and the
+//!   B+tree's leaf insert;
 //! * relaxed-LRU queue maintenance cost (§VI.B — must be cheap because
 //!   GC performs it for every row).
 
@@ -239,6 +240,28 @@ fn bench_indexes(c: &mut Criterion) {
             hash.get(&i.to_be_bytes())
         })
     });
+    // Leaf writes: each iteration re-inserts one of the 50,000 keys
+    // after an untimed delete of it, so the tree keeps its size. Keys
+    // come in key order (`seq`: the same leaf until it is done, then
+    // the next) or strided across the whole tree (`strided`).
+    for (label, stride) in [("btree_insert_seq", 1u64), ("btree_insert_strided", 104729)] {
+        let mut i = 0u64;
+        g.bench_function(label, |b| {
+            b.iter_batched(
+                || {
+                    i = (i + stride) % 50_000;
+                    assert!(btree.delete(&i.to_be_bytes(), None).unwrap());
+                    i
+                },
+                |k| {
+                    btree
+                        .insert(&k.to_be_bytes(), btrim_common::RowId(k))
+                        .unwrap()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     g.finish();
 }
 

@@ -487,6 +487,8 @@ mod tests {
         // One writer pushes + stamps versions; readers walk the chain
         // continuously and must only ever see fully-formed versions
         // whose commit_ts is consistent with visibility.
+        const WRITERS: std::ops::Range<u64> = 1..2000;
+        const READER: u64 = WRITERS.end;
         let a = Arc::new(arena());
         let head = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -498,8 +500,10 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         let snap = Timestamp(u64::MAX);
+                        // An id no writer uses: own-write visibility
+                        // would show that writer's unstamped version.
                         if let Some(v) =
-                            a.visible_from(head.load(Ordering::Acquire), snap, TxnId(999))
+                            a.visible_from(head.load(Ordering::Acquire), snap, TxnId(READER))
                         {
                             // Visible to a max snapshot ⇒ committed.
                             assert!(v.commit_ts.is_some());
@@ -509,7 +513,7 @@ mod tests {
                 })
             })
             .collect();
-        for i in 1..2000u64 {
+        for i in WRITERS {
             let l = a.push(&head, TxnId(i), VersionOp::Update, None, None);
             a.stamp(l, Timestamp(i));
         }

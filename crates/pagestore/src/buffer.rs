@@ -1274,27 +1274,45 @@ mod tests {
             g.page_id()
         };
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writes = Arc::new(AtomicU64::new(0));
         let writer = {
             let c = Arc::clone(&c);
             let stop = Arc::clone(&stop);
+            let writes = Arc::clone(&writes);
             std::thread::spawn(move || {
-                let mut writes = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let g = c.fetch(id).unwrap();
                     g.with_page_write(|p| {
                         assert!(p.update(btrim_common::SlotId(0), b"vN"));
                     });
-                    writes += 1;
+                    writes.fetch_add(1, Ordering::Release);
                 }
-                writes
             })
         };
-        for _ in 0..200 {
-            c.flush_pages(&[id]).unwrap();
+        // Rendezvous: the flushes start once the writer's first write
+        // has landed, and go on (at least 200 of them) until the writer
+        // has written again, so the two provably overlap however the
+        // threads are scheduled. A writer stalled behind the flushes
+        // never writes again, and the deadline ends the loop.
+        while writes.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
         }
+        let before = writes.load(Ordering::Acquire);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut flushes = 0;
+        while flushes < 200
+            || (writes.load(Ordering::Acquire) == before && std::time::Instant::now() < deadline)
+        {
+            c.flush_pages(&[id]).unwrap();
+            flushes += 1;
+        }
+        let after = writes.load(Ordering::Acquire);
         stop.store(true, Ordering::Relaxed);
-        let writes = writer.join().unwrap();
-        assert!(writes > 0, "writer must make progress during flushes");
+        writer.join().unwrap();
+        assert!(
+            after > before,
+            "writer must make progress during {flushes} flushes ({before} writes before, {after} after)"
+        );
     }
 
     #[test]
