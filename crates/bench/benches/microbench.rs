@@ -91,6 +91,32 @@ fn bench_allocator(c: &mut Criterion) {
             }
         })
     });
+
+    // The IMRS under TPC-C: ~50k live row images of mixed sizes with
+    // ~20k free holes between them. Each iteration allocates a
+    // mixed-size fragment into that heap and frees it again; the free
+    // coalesces the split block back, so every iteration starts from
+    // the same 20k free blocks.
+    let a = FragmentAllocator::new(64 * 1024 * 1024, 2 * 1024 * 1024);
+    let bytes = vec![3u8; 512];
+    let size = |i: usize| 32 + (i * 37) % 400;
+    let held: Vec<_> = (0..70_000)
+        .map(|i| a.alloc(&bytes[..size(i)]).unwrap())
+        .collect();
+    // Never two neighbours, so every free leaves its own hole.
+    for (i, &h) in held.iter().enumerate() {
+        if i % 7 == 1 || i % 7 == 4 {
+            a.free(h);
+        }
+    }
+    let mut i = 0usize;
+    g.bench_function("alloc_churn_fragmented", |b| {
+        b.iter(|| {
+            i += 1;
+            let h = a.alloc(&bytes[..size(i)]).unwrap();
+            a.free(h);
+        })
+    });
     g.finish();
 }
 

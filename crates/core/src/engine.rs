@@ -133,9 +133,9 @@ pub(crate) struct Shared {
     pub cfg: EngineConfig,
     pub cache: Arc<BufferCache>,
     pub store: ImrsStore,
-    /// Shared with the store: version-chain heads and row locations
-    /// live in the same dense entry, so lock-free readers resolve and
-    /// walk without ever fetching an `ImrsRow`.
+    /// Shared with the store: row locations, IMRS residency and
+    /// version-chain heads live in the same dense entry, so lock-free
+    /// readers resolve and walk with a direct index.
     pub ridmap: Arc<RidMap>,
     /// Before-image side store for page-resident rows (snapshot reads).
     pub side: SideStore,
@@ -775,7 +775,7 @@ impl Engine {
                     };
                     let visible = self.read_imrs_visible(txn, &row, now)?;
                     if visible.is_none() && self.sh.ridmap.head(row_id) == 0 {
-                        // We caught the row's Arc just as pack drained
+                        // We saw the row resident just as pack drained
                         // its chain: the row lives on the page store
                         // now. Resolve again through the RID-Map.
                         continue;
@@ -877,7 +877,7 @@ impl Engine {
     fn read_imrs_visible(
         &self,
         txn: &Transaction,
-        row: &Arc<btrim_imrs::ImrsRow>,
+        row: &btrim_imrs::ImrsRow<'_>,
         now: Timestamp,
     ) -> Result<Option<Vec<u8>>> {
         match row.visible_version(txn.handle.snapshot, txn.handle.id) {
@@ -1344,7 +1344,7 @@ impl Engine {
             .store
             .add_version(&row, txn.handle.id, VersionOp::Update, Some(new_row))?;
         txn.to_stamp.push(v);
-        txn.remember_touched(&row);
+        txn.remember_touched(row_id);
         txn.imrs_redo
             .push_update(txn.handle.id, row.partition, row_id, new_row.to_vec());
         txn.gc_rows.push(row_id);
@@ -1530,7 +1530,7 @@ impl Engine {
                     .store
                     .add_version(&row, txn.handle.id, VersionOp::Delete, None)?;
                 txn.to_stamp.push(v);
-                txn.remember_touched(&row);
+                txn.remember_touched(row_id);
                 txn.imrs_redo
                     .push_delete(txn.handle.id, row.partition, row_id);
                 txn.gc_rows.push(row_id);
@@ -1854,17 +1854,14 @@ impl Engine {
         // row. The copy is unpublished (the RID-Map still says Page)
         // and the caller holds the row's exclusive lock, so nobody can
         // observe it until the logs are safely out.
-        let (imrs_row, _vref) = match self
+        if let Err(e) = self
             .sh
             .store
             .insert_row_committed(row_id, partition, origin, itxn.id, &data, ts_mig)
         {
-            Ok(r) => r,
-            Err(e) => {
-                self.sh.txns.abort(itxn);
-                return Err(e);
-            }
-        };
+            self.sh.txns.abort(itxn);
+            return Err(e);
+        }
         // WAL order: every log record goes out BEFORE any page or
         // RID-Map mutation. If an append fails, the unpublished IMRS
         // copy is freed and nothing else has changed; recovery undoes
@@ -1920,7 +1917,6 @@ impl Engine {
             txn: itxn.id,
             ts: commit_ts,
         })?;
-        let _ = imrs_row;
         self.sh.gc.register(row_id);
         self.sh.metrics.get(partition).rows_in.inc();
         self.sh.obs.record_since(OpClass::Migration, op_start);
@@ -2158,7 +2154,7 @@ impl Engine {
             self.apply_undo(op);
         }
         for row in txn.touched_imrs.drain(..) {
-            self.sh.store.rollback_row(&row, id, || self.sh.clock.now());
+            self.sh.store.rollback_row(row, id, || self.sh.clock.now());
         }
         // After the page undo restored the before images, the pending
         // stashes are redundant — readers get the same bytes from the

@@ -573,6 +573,11 @@ impl Engine {
                             Some(data),
                         )?;
                         v.stamp(*ts);
+                        // Replay keeps only the newest image: no snapshot
+                        // reader exists during recovery, so an untruncated
+                        // chain would only pin IMRS memory until the budget
+                        // ran out.
+                        self.sh.store.truncate_row(&imrs_row, *ts);
                         if let Some(table) = self.sh.catalog.table_of_partition(*partition) {
                             Self::index_row(&table, *row, data);
                         }
@@ -743,6 +748,9 @@ impl Engine {
             }
         }
         self.sh.store.remove_row(row, || self.sh.clock.now());
+        // The chain went to quarantine for snapshot readers; recovery
+        // has none, so its memory is reusable at once.
+        self.sh.store.reclaim(Timestamp(u64::MAX));
         Ok(())
     }
 

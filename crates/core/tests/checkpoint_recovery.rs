@@ -552,3 +552,80 @@ fn quiesced_checkpoint_truncates_syslogs_and_recovery_still_works() {
     }
     e.commit(txn).unwrap();
 }
+
+/// Replay of a long IMRS log fits the budget the live engine ran in.
+/// The live engine keeps each row's chain short (GC truncates below the
+/// snapshot horizon) and packs rows out and back in; replay must do the
+/// same work's bookkeeping — truncate replayed updates, reclaim dropped
+/// rows — or it runs out of IMRS memory on a log whose total update
+/// volume is many times the budget.
+#[test]
+fn replay_of_many_updates_and_packs_fits_a_small_imrs_budget() {
+    use btrim_core::pack::{pack_cycle, PackLevel};
+    use std::collections::BTreeMap;
+
+    let small = || EngineConfig {
+        mode: EngineMode::IlmOn,
+        imrs_budget: 256 * 1024,
+        imrs_chunk_size: 64 * 1024,
+        buffer_frames: 512,
+        ..Default::default()
+    };
+    let image = |key: u64, round: u64| {
+        let mut payload = format!("round {round:04} key {key:04} ").into_bytes();
+        payload.resize(180, b'.');
+        mkrow(key, &payload)
+    };
+    let disk = Arc::new(MemDisk::new());
+    let syslog = Arc::new(MemLog::new());
+    let imrslog = Arc::new(MemLog::new());
+    let mut expect: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let updates_bytes;
+    {
+        let e = Engine::with_devices(small(), disk.clone(), syslog.clone(), imrslog.clone());
+        let t = e.create_table(opts()).unwrap();
+        for key in 0..200u64 {
+            let mut txn = e.begin();
+            e.insert(&mut txn, &t, &image(key, 0)).unwrap();
+            e.commit(txn).unwrap();
+            expect.insert(key, image(key, 0));
+        }
+        let mut bytes = 0;
+        for round in 1..=150u64 {
+            for key in (round % 3..200).step_by(3) {
+                let row = image(key, round);
+                let mut txn = e.begin();
+                assert!(e.update(&mut txn, &t, &key.to_be_bytes(), &row).unwrap());
+                e.commit(txn).unwrap();
+                bytes += row.len();
+                expect.insert(key, row);
+            }
+            e.run_maintenance();
+            if round % 5 == 0 {
+                pack_cycle(&e, PackLevel::Aggressive);
+            }
+        }
+        assert!(e.snapshot().table("t").unwrap().rows_packed() > 0);
+        updates_bytes = bytes;
+        // Crash without shutdown.
+    }
+    assert!(
+        updates_bytes > 4 * 256 * 1024,
+        "the log outweighs the budget"
+    );
+    let e = Engine::recover(small(), disk, syslog, imrslog, |e| {
+        e.create_table(opts()).map(|_| ())
+    })
+    .unwrap();
+    assert!(e.recovery_report().imrs_records_replayed > 0);
+    let t = e.table("t").unwrap();
+    let txn = e.begin();
+    for (key, row) in &expect {
+        assert_eq!(
+            e.get(&txn, &t, &key.to_be_bytes()).unwrap().as_ref(),
+            Some(row),
+            "key {key}"
+        );
+    }
+    e.commit(txn).unwrap();
+}

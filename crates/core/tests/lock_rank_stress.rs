@@ -43,8 +43,9 @@ fn opts(name: &str) -> TableOpts {
 /// and buffer pool are deliberately tiny so rows spill to the page
 /// store and eviction churns frames while commits race checkpoints —
 /// exercising every ranked lock class concurrently: engine-state
-/// (maintenance gate), buffer-shard, frame, RID-map, WAL log, and
-/// group-commit.
+/// (maintenance gate), buffer-shard, frame, RID-map, WAL log,
+/// group-commit, and the IMRS chain-latch stripes (version pushes,
+/// rollbacks of aborted updates, GC truncation and pack teardown).
 #[test]
 fn eight_threads_no_witness_panics() {
     let e = Arc::new(Engine::new(EngineConfig {
@@ -100,6 +101,19 @@ fn eight_threads_no_witness_panics() {
                             Ok(_) => e.commit(txn).map(|_| ()).unwrap(),
                             Err(_) => e.abort(txn), // backpressure: skip
                         }
+                        // Two versions on one chain, then a rollback:
+                        // the chain-latch stripe is taken under the row
+                        // lock, racing GC truncation and pack of
+                        // neighbouring rows on the same stripes.
+                        let mut txn = e.begin();
+                        let key = (base + i - 4).to_be_bytes();
+                        for fill in [0xA1, 0xA2] {
+                            let row = mkrow(base + i - 4, &[fill; 200]);
+                            if e.update(&mut txn, &t, &key, &row).is_err() {
+                                break;
+                            }
+                        }
+                        e.abort(txn);
                     }
                 }
                 done.fetch_add(1, Ordering::SeqCst);

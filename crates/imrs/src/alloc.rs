@@ -4,16 +4,25 @@
 //! fragment-memory manager which is highly optimized for best-fit
 //! low-latency memory allocation and reclamation on multiple cores"
 //! (§II). This implementation manages a budget of fixed-size chunks,
-//! each a byte arena. Free space is tracked twice:
+//! each a byte arena. Free blocks are indexed three ways:
 //!
-//! * by size, in an ordered set — best-fit lookup is one range query;
-//! * by address, per chunk — frees coalesce with both neighbours.
+//! * by exact size class — one bin per 16-byte size up to 4 KiB, plus
+//!   a bitmap of non-empty bins, so best fit is a scan for the first
+//!   set bit at or above the request's class;
+//! * blocks above the largest class (in practice chunk tails) in one
+//!   ordered set, consulted only when no bin fits;
+//! * by start and by end position in hash maps, so a release finds
+//!   both neighbours in O(1) and coalesces with them.
+//!
+//! Every release coalesces, so no two free blocks are ever adjacent. A
+//! split leaves a remainder only when it is at least `MIN_SPLIT` bytes.
 //!
 //! Row images are immutable once written (updates create new versions),
 //! so an allocation is written exactly once at `alloc` time and read
 //! many times.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,6 +34,10 @@ use btrim_common::{BtrimError, Result, Timestamp};
 const ALIGN: u32 = 16;
 /// A remainder smaller than this is not split off as a free block.
 const MIN_SPLIT: u32 = 16;
+/// Largest block size with its own size-class bin.
+const MAX_CLASS: u32 = 4096;
+/// Size-class bins: bin `c` holds free blocks of `(c + 1) * ALIGN` bytes.
+const CLASSES: usize = (MAX_CLASS / ALIGN) as usize;
 
 /// Handle to one allocated fragment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -69,12 +82,137 @@ impl FragHandle {
     }
 }
 
+/// A block position, `chunk << 32 | byte offset`.
+type Pos = u64;
+
+fn pos(chunk: u32, offset: u32) -> Pos {
+    ((chunk as u64) << 32) | offset as u64
+}
+
+/// Multiplicative hash for block positions (the std SipHash costs more
+/// than the whole lookup it guards).
+#[derive(Default)]
+struct PosHasher(u64);
+
+impl Hasher for PosHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fold the well-mixed high half into the low bits the table
+        // indexes by (offsets are multiples of 16).
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PosMap<V> = HashMap<Pos, V, BuildHasherDefault<PosHasher>>;
+
+/// A free block as indexed by its start.
+#[derive(Clone, Copy)]
+struct FreeBlock {
+    len: u32,
+    /// Index in its size-class bin (unused for oversized blocks).
+    slot: u32,
+}
+
+fn class_of(len: u32) -> usize {
+    (len / ALIGN) as usize - 1
+}
+
 struct AllocState {
-    /// (len, chunk, offset) — ordered by length for best-fit.
-    free_by_size: BTreeSet<(u32, u32, u32)>,
-    /// chunk → offset → len; ordered by offset for coalescing.
-    free_by_addr: HashMap<u32, BTreeMap<u32, u32>>,
+    /// Exact size-class bins of free block positions.
+    bins: Vec<Vec<Pos>>,
+    /// Bit `c` set iff `bins[c]` is non-empty.
+    nonempty: [u64; CLASSES / 64],
+    /// Free blocks above `MAX_CLASS`: `(len, pos)`, ordered for best fit.
+    oversized: BTreeSet<(u32, Pos)>,
+    /// Every free block, by start position.
+    by_start: PosMap<FreeBlock>,
+    /// Every free block's start offset, by end position.
+    by_end: PosMap<u32>,
+    /// Sum of free block lengths.
+    free_bytes: u64,
     chunks_created: u32,
+}
+
+impl AllocState {
+    fn new() -> Self {
+        AllocState {
+            bins: vec![Vec::new(); CLASSES],
+            nonempty: [0; CLASSES / 64],
+            oversized: BTreeSet::new(),
+            by_start: PosMap::default(),
+            by_end: PosMap::default(),
+            free_bytes: 0,
+            chunks_created: 0,
+        }
+    }
+
+    fn insert(&mut self, chunk: u32, offset: u32, len: u32) {
+        let at = pos(chunk, offset);
+        let slot = if len <= MAX_CLASS {
+            let c = class_of(len);
+            self.nonempty[c / 64] |= 1 << (c % 64);
+            self.bins[c].push(at);
+            self.bins[c].len() as u32 - 1
+        } else {
+            self.oversized.insert((len, at));
+            0
+        };
+        self.by_start.insert(at, FreeBlock { len, slot });
+        self.by_end.insert(pos(chunk, offset + len), offset);
+        self.free_bytes += len as u64;
+    }
+
+    /// Unindex the free block starting at `at`; returns its length.
+    fn remove(&mut self, at: Pos) -> Option<u32> {
+        let FreeBlock { len, slot } = self.by_start.remove(&at)?;
+        self.by_end.remove(&(at + len as u64));
+        if len <= MAX_CLASS {
+            let c = class_of(len);
+            let bin = &mut self.bins[c];
+            bin.swap_remove(slot as usize);
+            if let Some(&moved) = bin.get(slot as usize) {
+                if let Some(b) = self.by_start.get_mut(&moved) {
+                    b.slot = slot;
+                }
+            } else if bin.is_empty() {
+                self.nonempty[c / 64] &= !(1 << (c % 64));
+            }
+        } else {
+            self.oversized.remove(&(len, at));
+        }
+        self.free_bytes -= len as u64;
+        Some(len)
+    }
+
+    /// Position of a smallest free block of at least `need` bytes.
+    fn best_fit(&self, need: u32) -> Option<Pos> {
+        if need <= MAX_CLASS {
+            let c = class_of(need);
+            let (mut w, mut bits) = (c / 64, self.nonempty[c / 64] & (!0u64 << (c % 64)));
+            loop {
+                if bits != 0 {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
+                    return self.bins[c].last().copied();
+                }
+                w += 1;
+                if w == self.nonempty.len() {
+                    break;
+                }
+                bits = self.nonempty[w];
+            }
+        }
+        self.oversized.range((need, 0)..).next().map(|&(_, at)| at)
+    }
 }
 
 /// One chunk's byte arena.
@@ -112,11 +250,7 @@ impl FragmentAllocator {
             chunk_size,
             max_chunks: AtomicU32::new(max_chunks),
             chunks: RwLock::new(Vec::new()),
-            state: Mutex::new(AllocState {
-                free_by_size: BTreeSet::new(),
-                free_by_addr: HashMap::new(),
-                chunks_created: 0,
-            }),
+            state: Mutex::new(AllocState::new()),
             used: AtomicU64::new(0),
             alloc_calls: AtomicU64::new(0),
             free_calls: AtomicU64::new(0),
@@ -200,7 +334,7 @@ impl FragmentAllocator {
                     self.chunks.write().push(Arc::new(RwLock::new(
                         vec![0u8; self.chunk_size as usize].into_boxed_slice(),
                     )));
-                    Self::insert_free(&mut st, idx, 0, self.chunk_size);
+                    st.insert(idx, 0, self.chunk_size);
                     // A fresh chunk satisfies any allocation that passed
                     // the `need > chunk_size` guard above; failing here
                     // means the free indices are corrupt.
@@ -229,29 +363,18 @@ impl FragmentAllocator {
     /// Best-fit: smallest free block with len >= need. Splits the
     /// remainder back into the pool.
     fn take_best_fit(&self, st: &mut AllocState, need: u32) -> Option<(u32, u32, u32)> {
-        let &(len, chunk, offset) = st.free_by_size.range((need, 0, 0)..).next()?;
-        // The size and addr indices are maintained in lockstep; a
-        // missing addr-side entry would mean allocator corruption, so
-        // report "no fit" without desyncing them further.
-        st.free_by_addr.get_mut(&chunk)?.remove(&offset);
-        st.free_by_size.remove(&(len, chunk, offset));
+        let at = st.best_fit(need)?;
+        let len = st.remove(at)?;
+        let (chunk, offset) = ((at >> 32) as u32, at as u32);
         let rem = len - need;
         if rem >= MIN_SPLIT {
-            Self::insert_free(st, chunk, offset + need, rem);
+            st.insert(chunk, offset + need, rem);
             Some((chunk, offset, need))
         } else {
             // Allocate the whole block; over-allocation is tracked in
             // alloc_len so free returns it all.
             Some((chunk, offset, len))
         }
-    }
-
-    fn insert_free(st: &mut AllocState, chunk: u32, offset: u32, len: u32) {
-        st.free_by_size.insert((len, chunk, offset));
-        st.free_by_addr
-            .entry(chunk)
-            .or_default()
-            .insert(offset, len);
     }
 
     /// Return a fragment to the pool, coalescing with free neighbours.
@@ -309,38 +432,18 @@ impl FragmentAllocator {
         let mut st = self.state.lock();
         let mut offset = h.offset;
         let mut len = h.alloc_len;
-        // Coalesce with predecessor.
-        let pred = st
-            .free_by_addr
-            .get(&h.chunk)
-            .and_then(|m| m.range(..offset).next_back().map(|(&o, &l)| (o, l)));
-        if let Some((poff, plen)) = pred {
-            if poff + plen == offset {
-                // `pred` came from this map an instant ago under the
-                // same lock; the `if let` avoids a panic path anyway.
-                if let Some(m) = st.free_by_addr.get_mut(&h.chunk) {
-                    m.remove(&poff);
-                }
-                st.free_by_size.remove(&(plen, h.chunk, poff));
-                offset = poff;
+        // Coalesce with the predecessor (a free block ending here)…
+        if let Some(&start) = st.by_end.get(&pos(h.chunk, offset)) {
+            if let Some(plen) = st.remove(pos(h.chunk, start)) {
+                offset = start;
                 len += plen;
             }
         }
-        // Coalesce with successor.
-        let succ = st
-            .free_by_addr
-            .get(&h.chunk)
-            .and_then(|m| m.range(offset + len..).next().map(|(&o, &l)| (o, l)));
-        if let Some((noff, nlen)) = succ {
-            if offset + len == noff {
-                if let Some(m) = st.free_by_addr.get_mut(&h.chunk) {
-                    m.remove(&noff);
-                }
-                st.free_by_size.remove(&(nlen, h.chunk, noff));
-                len += nlen;
-            }
+        // …and the successor (a free block starting at our end).
+        if let Some(nlen) = st.remove(pos(h.chunk, h.offset + h.alloc_len)) {
+            len += nlen;
         }
-        Self::insert_free(&mut st, h.chunk, offset, len);
+        st.insert(h.chunk, offset, len);
         self.free_calls.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -358,8 +461,26 @@ impl FragmentAllocator {
 
     /// Free bytes inside already-created chunks (fragmentation probe).
     pub fn free_bytes_in_chunks(&self) -> u64 {
+        self.state.lock().free_bytes
+    }
+
+    /// Bytes of every chunk created so far.
+    #[cfg(test)]
+    fn chunk_bytes(&self) -> u64 {
+        self.state.lock().chunks_created as u64 * self.chunk_size as u64
+    }
+
+    /// Every free block as `(chunk, offset, len)`, in address order.
+    #[cfg(test)]
+    fn free_blocks(&self) -> Vec<(u32, u32, u32)> {
         let st = self.state.lock();
-        st.free_by_size.iter().map(|&(len, _, _)| len as u64).sum()
+        let mut out: Vec<_> = st
+            .by_start
+            .iter()
+            .map(|(&at, b)| ((at >> 32) as u32, at as u32, b.len))
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -589,6 +710,136 @@ mod proptests {
                 a.free(h);
             }
             prop_assert_eq!(a.used_bytes(), 0);
+        }
+    }
+
+    /// Free blocks as the model expects them after releasing `h`:
+    /// merged with a free block ending at its start and one starting at
+    /// its end.
+    fn model_release(free: &mut BTreeSet<(u32, u32, u32)>, h: FragHandle) {
+        let (mut off, mut len) = (h.offset, h.alloc_len);
+        let pred = free
+            .range(..(h.chunk, h.offset, 0))
+            .next_back()
+            .copied()
+            .filter(|&(c, o, l)| c == h.chunk && o + l == h.offset);
+        if let Some(p) = pred {
+            free.remove(&p);
+            off = p.1;
+            len += p.2;
+        }
+        let succ = free
+            .range((h.chunk, h.offset + h.alloc_len, 0)..)
+            .next()
+            .copied()
+            .filter(|&(c, o, _)| c == h.chunk && o == h.offset + h.alloc_len);
+        if let Some(n) = succ {
+            free.remove(&n);
+            len += n.2;
+        }
+        free.insert((h.chunk, off, len));
+    }
+
+    proptest! {
+        /// Alloc, free, retire and reclaim against a `BTreeSet` model of
+        /// the free blocks: every allocation takes a smallest block that
+        /// fits (or grows by a chunk only when none fits), splits only a
+        /// remainder of at least `MIN_SPLIT`, releases coalesce so no
+        /// two free blocks touch, and free + used + quarantined bytes
+        /// always equal the bytes of the chunks created.
+        #[test]
+        fn allocator_matches_free_block_model(
+            ops in proptest::collection::vec((0u8..10, 1usize..6000, 0usize..1000), 1..250)
+        ) {
+            const CHUNK: u32 = 64 * 1024;
+            let a = FragmentAllocator::new(4 * CHUNK as u64, CHUNK);
+            let mut free: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
+            let mut chunks = 0u32;
+            let mut live: Vec<(FragHandle, Vec<u8>)> = Vec::new();
+            let mut quarantine: VecDeque<(u64, FragHandle)> = VecDeque::new();
+            let mut clock = 0u64;
+            for (kind, size, pick) in ops {
+                match kind {
+                    0..=4 => {
+                        let need = FragmentAllocator::aligned(size);
+                        let fit = free
+                            .iter()
+                            .filter(|b| b.2 >= need)
+                            .map(|b| b.2)
+                            .min();
+                        let data: Vec<u8> = (0..size).map(|i| (i * 7 + pick) as u8).collect();
+                        match a.alloc(&data) {
+                            Ok(h) => {
+                                let len = match fit {
+                                    Some(len) => {
+                                        prop_assert!(
+                                            free.remove(&(h.chunk, h.offset, len)),
+                                            "took ({}, {}) but a smallest fit is {len} bytes",
+                                            h.chunk,
+                                            h.offset
+                                        );
+                                        len
+                                    }
+                                    None => {
+                                        prop_assert_eq!((h.chunk, h.offset), (chunks, 0));
+                                        chunks += 1;
+                                        CHUNK
+                                    }
+                                };
+                                if len - need >= MIN_SPLIT {
+                                    prop_assert_eq!(h.alloc_len, need);
+                                    free.insert((h.chunk, h.offset + need, len - need));
+                                } else {
+                                    prop_assert_eq!(h.alloc_len, len);
+                                }
+                                live.push((h, data));
+                            }
+                            Err(BtrimError::ImrsFull { .. }) => {
+                                prop_assert!(fit.is_none() && chunks == 4);
+                            }
+                            Err(e) => prop_assert!(false, "unexpected {e}"),
+                        }
+                    }
+                    5..=8 if !live.is_empty() => {
+                        let (h, d) = live.swap_remove(pick % live.len());
+                        prop_assert_eq!(a.load(h), d);
+                        if kind <= 6 {
+                            a.free(h);
+                            model_release(&mut free, h);
+                        } else {
+                            clock += 1;
+                            a.retire(h, Timestamp(clock));
+                            quarantine.push_back((clock, h));
+                        }
+                    }
+                    _ => {
+                        let horizon = pick as u64 % (clock + 2);
+                        let mut bytes = 0;
+                        while quarantine.front().is_some_and(|&(ts, _)| ts < horizon) {
+                            let (_, h) = quarantine.pop_front().unwrap();
+                            bytes += h.alloc_len as u64;
+                            model_release(&mut free, h);
+                        }
+                        prop_assert_eq!(a.reclaim(Timestamp(horizon)), bytes);
+                    }
+                }
+                let blocks = a.free_blocks();
+                prop_assert_eq!(&blocks, &free.iter().copied().collect::<Vec<_>>());
+                for w in blocks.windows(2) {
+                    prop_assert!(
+                        w[0].0 != w[1].0 || w[0].1 + w[0].2 < w[1].1,
+                        "adjacent free blocks {:?}",
+                        w
+                    );
+                }
+                prop_assert_eq!(
+                    a.free_bytes_in_chunks() + a.used_bytes() + a.quarantined_bytes(),
+                    a.chunk_bytes()
+                );
+            }
+            for (h, d) in live {
+                prop_assert_eq!(a.load(h), d);
+            }
         }
     }
 }

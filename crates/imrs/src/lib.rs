@@ -6,20 +6,23 @@
 //! cached in memory). Components:
 //!
 //! * [`alloc`] — the high-performance best-fit *fragment memory manager*
-//!   the paper calls out as a key sub-system (§II).
+//!   the paper calls out as a key sub-system (§II): exact size-class
+//!   bins, O(1) neighbour coalescing.
 //! * [`version`] — version vocabulary (operations, the snapshot
 //!   visibility predicate); the basis for in-memory versioning and
 //!   snapshot isolation.
 //! * [`arena`] — the version arena: all-atomic, index-linked version
 //!   chains that snapshot readers walk without taking any lock.
-//! * [`row`] — the in-memory row: version chain façade, origin
-//!   (inserted / migrated / cached), and the loosely-maintained access
-//!   timestamp used by the Timestamp Filter (§VI.D).
-//! * [`store`] — the sharded row directory plus per-partition memory
-//!   accounting feeding the ILM indexes (§VI.C).
+//! * [`row`] — the in-memory row: a `Copy` handle onto one resident
+//!   row's version chain, origin (inserted / migrated / cached), and the
+//!   loosely-maintained access timestamp used by the Timestamp Filter
+//!   (§VI.D).
+//! * [`store`] — the row store: allocation, striped chain latches and
+//!   per-partition memory accounting feeding the ILM indexes (§VI.C).
+//!   It keeps no row directory; residency lives in the RID-Map.
 //! * [`ridmap`] — the RID-Map: `RowId` → current physical location
 //!   (IMRS or page store), the indirection that makes data movement
-//!   invisible to indexes (§II).
+//!   invisible to indexes (§II), plus every row's IMRS state.
 
 #![forbid(unsafe_code)]
 

@@ -12,15 +12,26 @@
 //! Row ids are dense (allocated sequentially from 1), so the map is a
 //! chunked direct-index table of all-atomic entries rather than a
 //! sharded hash map: a lookup is two shifts and two loads, never a
-//! lock. Each entry also carries the per-row state the lock-free read
-//! path needs without fetching the `ImrsRow` object from the store
-//! shards — the version-chain head link, the owning partition, and the
-//! ILM hotness counters (§V.A "per-row access timestamps ... updated
-//! occasionally").
+//! lock. Each entry also carries all per-row IMRS state, so the IMRS
+//! keeps no row directory of its own: the version-chain head link, the
+//! row's IMRS metadata word (below), and the ILM hotness counters (§V.A
+//! "per-row access timestamps ... updated occasionally").
 //!
 //! The location is packed into one word, `page << 32 | slot << 8 |
 //! tag`, so relocation (pack, migration) is a single CAS and a reader
 //! always sees a coherent `(page, slot)` pair.
+//!
+//! # The IMRS metadata word
+//!
+//! `part` packs `partition + 1` (bits 0–39, 0 = unknown), the row's
+//! [`RowOrigin`] (bits 60–61), the ILM queue claim (bit 62) and IMRS
+//! residency (bit 63). Residency is the store's publication point:
+//! [`ImrsStore`](crate::ImrsStore) writes the fields and pushes the
+//! first version, then sets the bit with an `AcqRel` RMW; lookups
+//! `Acquire`-load the word, so a reader that sees the bit sees the
+//! partition, origin and chain head. Clearing the bit is also an RMW,
+//! so exactly one caller observes the row leave. Flag flips never touch
+//! the partition and origin bits.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -28,13 +39,15 @@ use std::sync::OnceLock;
 use btrim_common::atomics::AtomicOp;
 use btrim_common::{PageId, PartitionId, RowId, SlotId, Timestamp};
 
+use crate::row::RowOrigin;
+
 /// This file's key in the shared atomics-discipline table.
 const RIDMAP_FILE: &str = "crates/imrs/src/ridmap.rs";
 
 /// Where a row currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RowLocation {
-    /// Resident in the IMRS (the `ImrsStore` holds the row object).
+    /// Resident in the IMRS (its version chain hangs off the entry).
     Imrs,
     /// At `(page, slot)` in the page store.
     Page(PageId, SlotId),
@@ -76,6 +89,33 @@ fn decode(word: u64) -> Option<RowLocation> {
     }
 }
 
+/// `part` bits holding `partition + 1`.
+const PART_MASK: u64 = (1 << 40) - 1;
+/// Shift of the two-bit [`RowOrigin`] code in `part`.
+const ORIGIN_SHIFT: u32 = 60;
+/// `part` bit: the row sits in an ILM queue.
+const ENQUEUED: u64 = 1 << 62;
+/// `part` bit: the row is resident in the IMRS.
+const RESIDENT: u64 = 1 << 63;
+
+fn origin_code(origin: RowOrigin) -> u64 {
+    match origin {
+        RowOrigin::Inserted => 0,
+        RowOrigin::Migrated => 1,
+        RowOrigin::Cached => 2,
+    }
+}
+
+fn decode_meta(word: u64) -> (PartitionId, RowOrigin) {
+    let part = PartitionId(((word & PART_MASK).saturating_sub(1)) as u32);
+    let origin = match (word >> ORIGIN_SHIFT) & 0b11 {
+        0 => RowOrigin::Inserted,
+        1 => RowOrigin::Migrated,
+        _ => RowOrigin::Cached,
+    };
+    (part, origin)
+}
+
 /// log2 of entries per chunk.
 const CHUNK_BITS: usize = 13;
 /// Entries per chunk.
@@ -90,8 +130,8 @@ struct Entry {
     loc: AtomicU64,
     /// Version-chain head link into the `VersionArena` (0 = none).
     head: AtomicU64,
-    /// Owning partition + 1 (0 = unknown); written before the location
-    /// is published so the lock-free read path can attribute metrics.
+    /// IMRS metadata word: partition + 1, origin, queue claim and
+    /// residency (module docs).
     part: AtomicU64,
     /// Last access (select/update) timestamp, updated loosely.
     last_access: AtomicU64,
@@ -229,24 +269,81 @@ impl RidMap {
             .map_or(0, |e| e.head.load(Ordering::Acquire))
     }
 
-    /// Owning partition, if recorded.
-    pub fn partition(&self, row: RowId) -> Option<PartitionId> {
-        let part = self.try_entry(row)?.part.load(Ordering::Relaxed);
-        (part != 0).then(|| PartitionId((part - 1) as u32))
+    /// Partition and origin of the row's last IMRS incarnation, if it
+    /// ever had one (kept after the row leaves the IMRS).
+    pub fn admitted(&self, row: RowId) -> Option<(PartitionId, RowOrigin)> {
+        let word = self.meta(row);
+        (word & PART_MASK != 0).then(|| decode_meta(word))
     }
 
-    /// Record the owning partition (done before the location is
-    /// published, so readers that see the location see the partition).
-    pub fn set_partition(&self, row: RowId, part: PartitionId) {
-        self.entry(row)
-            .part
-            .store(part.0 as u64 + 1, Ordering::Relaxed);
+    fn meta(&self, row: RowId) -> u64 {
+        btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Load, Ordering::Acquire);
+        self.try_entry(row)
+            .map_or(0, |e| e.part.load(Ordering::Acquire))
     }
 
-    /// Seed the access timestamp without counting a re-use (row
-    /// arrival in the IMRS).
-    pub fn set_last_access(&self, row: RowId, now: Timestamp) {
-        self.entry(row).last_access.store(now.0, Ordering::Relaxed);
+    /// Partition and origin of `row` if it is resident in the IMRS.
+    pub(crate) fn resident(&self, row: RowId) -> Option<(PartitionId, RowOrigin)> {
+        let word = self.meta(row);
+        (word & RESIDENT != 0).then(|| decode_meta(word))
+    }
+
+    /// Record a row's IMRS partition, origin and arrival time before it
+    /// becomes resident; resets the queue claim. The row must not be
+    /// resident (the caller then pushes the first version and calls
+    /// [`set_resident`](Self::set_resident)).
+    pub(crate) fn admit(&self, row: RowId, part: PartitionId, origin: RowOrigin, now: Timestamp) {
+        let e = self.entry(row);
+        e.last_access.store(now.0, Ordering::Relaxed);
+        let word = (part.0 as u64 + 1) | (origin_code(origin) << ORIGIN_SHIFT);
+        btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Store, Ordering::Release);
+        e.part.store(word, Ordering::Release);
+    }
+
+    /// Publish residency. Returns `false` if the row was already
+    /// resident.
+    pub(crate) fn set_resident(&self, row: RowId) -> bool {
+        btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+        self.entry(row).part.fetch_or(RESIDENT, Ordering::AcqRel) & RESIDENT == 0
+    }
+
+    /// Clear residency. Returns the row's partition and origin to the
+    /// one caller that saw it resident; `None` to everyone else.
+    pub(crate) fn clear_resident(&self, row: RowId) -> Option<(PartitionId, RowOrigin)> {
+        let e = self.try_entry(row)?;
+        btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+        let word = e.part.fetch_and(!RESIDENT, Ordering::AcqRel);
+        (word & RESIDENT != 0).then(|| decode_meta(word))
+    }
+
+    /// Claim ILM queue membership. Returns `true` to the one caller that
+    /// should enqueue the row (it was not in a queue before).
+    pub fn try_mark_enqueued(&self, row: RowId) -> bool {
+        btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+        self.entry(row).part.fetch_or(ENQUEUED, Ordering::AcqRel) & ENQUEUED == 0
+    }
+
+    /// Release queue membership (row popped and not re-queued).
+    pub fn clear_enqueued(&self, row: RowId) {
+        if let Some(e) = self.try_entry(row) {
+            btrim_common::atomics::witness(RIDMAP_FILE, "part", AtomicOp::Rmw, Ordering::AcqRel);
+            e.part.fetch_and(!ENQUEUED, Ordering::AcqRel);
+        }
+    }
+
+    /// Visit every IMRS-resident row with its partition and origin, in
+    /// row-id order (stats, scans, recovery; O(row ids ever mapped)).
+    pub(crate) fn for_each_resident(&self, mut f: impl FnMut(RowId, PartitionId, RowOrigin)) {
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let Some(chunk) = chunk.get() else { continue };
+            for (i, e) in chunk.iter().enumerate() {
+                let word = e.part.load(Ordering::Acquire);
+                if word & RESIDENT != 0 {
+                    let (part, origin) = decode_meta(word);
+                    f(RowId(((c << CHUNK_BITS) | i) as u64), part, origin);
+                }
+            }
+        }
     }
 
     /// Record an access for hotness tracking (cheap; relaxed stores).
@@ -379,13 +476,60 @@ mod tests {
     }
 
     #[test]
+    fn entry_stays_five_words() {
+        // Every byte is paid once per row id, in resident memory.
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
+    }
+
+    #[test]
+    fn meta_flags_keep_partition_and_origin() {
+        let m = RidMap::new();
+        let r = m.allocate_row_id();
+        let max = PartitionId(u32::MAX);
+        m.admit(r, max, RowOrigin::Cached, Timestamp(3));
+        assert_eq!(m.resident(r), None);
+        assert!(m.set_resident(r));
+        assert!(!m.set_resident(r), "second publish reports a resident row");
+        assert_eq!(m.resident(r), Some((max, RowOrigin::Cached)));
+        assert!(m.try_mark_enqueued(r));
+        assert!(!m.try_mark_enqueued(r));
+        assert_eq!(m.clear_resident(r), Some((max, RowOrigin::Cached)));
+        assert_eq!(m.clear_resident(r), None, "exactly one remover");
+        m.clear_enqueued(r);
+        assert!(m.try_mark_enqueued(r));
+        assert_eq!(m.admitted(r), Some((max, RowOrigin::Cached)));
+        assert_eq!(m.last_access(r), Timestamp(3));
+        // Re-admission resets the claim and keeps nothing stale.
+        m.admit(r, PartitionId(0), RowOrigin::Migrated, Timestamp(4));
+        assert!(m.try_mark_enqueued(r));
+        assert_eq!(m.admitted(r), Some((PartitionId(0), RowOrigin::Migrated)));
+    }
+
+    #[test]
+    fn for_each_resident_walks_only_resident_rows() {
+        let m = RidMap::new();
+        let ids = [RowId(1), RowId(2), RowId(CHUNK_ENTRIES as u64 * 3 + 5)];
+        for (i, &r) in ids.iter().enumerate() {
+            m.admit(r, PartitionId(i as u32), RowOrigin::Inserted, Timestamp(1));
+            m.set_resident(r);
+        }
+        m.clear_resident(RowId(2));
+        let mut seen = Vec::new();
+        m.for_each_resident(|r, p, _| seen.push((r, p)));
+        assert_eq!(
+            seen,
+            vec![(ids[0], PartitionId(0)), (ids[2], PartitionId(2))]
+        );
+    }
+
+    #[test]
     fn per_row_state_tracks_hotness_and_partition() {
         let m = RidMap::new();
         let r = m.allocate_row_id();
-        assert_eq!(m.partition(r), None);
-        m.set_partition(r, PartitionId(0));
+        assert_eq!(m.admitted(r), None);
+        m.admit(r, PartitionId(0), RowOrigin::Inserted, Timestamp(0));
         m.set(r, RowLocation::Imrs);
-        assert_eq!(m.partition(r), Some(PartitionId(0)));
+        assert_eq!(m.admitted(r), Some((PartitionId(0), RowOrigin::Inserted)));
         assert_eq!(m.reuse_count(r), 0);
         m.touch(r, Timestamp(42));
         m.touch(r, Timestamp(43));

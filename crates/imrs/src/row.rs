@@ -1,28 +1,30 @@
 //! The in-memory row.
 //!
-//! An [`ImrsRow`] fronts one row's version chain plus the ILM
-//! bookkeeping the paper attaches to each row: the *origin* queue it
-//! belongs to (inserted / migrated / cached, §VI.B), a loosely-updated
-//! last-access timestamp (§V.A: "per-row access timestamps ... updated
+//! An [`ImrsRow`] is a `Copy` handle onto one resident row, borrowed
+//! from the [`ImrsStore`]: the row id plus the ILM bookkeeping the
+//! paper attaches to each row — the *origin* queue it belongs to
+//! (inserted / migrated / cached, §VI.B), a loosely-updated last-access
+//! timestamp (§V.A: "per-row access timestamps ... updated
 //! occasionally"), and a re-use counter.
 //!
-//! The chain itself lives in the [`VersionArena`] and its head link in
-//! the row's RID-Map entry, so the snapshot read path resolves a row
-//! with atomics only — it never fetches this object. `ImrsRow` is the
-//! *writer-side* façade: its `chain` mutex serializes structural chain
-//! changes (push, rollback, truncation, teardown) against each other,
-//! while readers walk concurrently without it.
+//! There is no per-row heap object. The chain lives in the
+//! [`VersionArena`](crate::arena::VersionArena); its head link, the
+//! partition, origin, queue claim, residency flag and hotness counters
+//! all live in the row's RID-Map entry, so resolving a row is a direct
+//! index and the snapshot read path uses atomics only. Structural chain
+//! changes (push, rollback, truncation, teardown) are serialized per row
+//! by one of the store's striped chain latches; readers walk
+//! concurrently without it. No path holds two chain latches: two rows
+//! may share a stripe.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use btrim_common::{PartitionId, RowId, Timestamp, TxnId};
 
-use crate::alloc::FragmentAllocator;
-use crate::arena::{VersionArena, VersionRef, VersionView};
-use crate::ridmap::RidMap;
+use crate::alloc::FragHandle;
+use crate::arena::{VersionRef, VersionView};
+use crate::store::ImrsStore;
 use crate::version::VersionOp;
 
 /// Which operation first brought a row into the IMRS. Each origin has
@@ -38,121 +40,107 @@ pub enum RowOrigin {
     Cached,
 }
 
-/// A row resident in the IMRS.
-pub struct ImrsRow {
+/// A handle onto a row resident in the IMRS (see module docs).
+#[derive(Clone, Copy)]
+pub struct ImrsRow<'a> {
     /// Stable logical row id.
     pub row_id: RowId,
     /// Owning partition.
     pub partition: PartitionId,
     /// How the row entered the IMRS.
     pub origin: RowOrigin,
-    /// Serializes structural chain changes; never taken by readers.
-    chain: Mutex<()>,
-    /// Whether the row currently sits in an ILM queue (set by GC when it
-    /// enqueues the row; prevents duplicate queue entries).
-    enqueued: AtomicBool,
-    ridmap: Arc<RidMap>,
-    arena: Arc<VersionArena>,
+    store: &'a ImrsStore,
 }
 
-impl ImrsRow {
-    /// Create a row façade (no versions yet; the store pushes the first
-    /// one). Records the partition and seeds the access timestamp in
-    /// the RID-Map entry *before* the row becomes reachable.
-    pub fn new(
+impl<'a> ImrsRow<'a> {
+    pub(crate) fn new(
+        store: &'a ImrsStore,
         row_id: RowId,
         partition: PartitionId,
         origin: RowOrigin,
-        ridmap: Arc<RidMap>,
-        arena: Arc<VersionArena>,
-        now: Timestamp,
-    ) -> Arc<Self> {
-        ridmap.set_partition(row_id, partition);
-        ridmap.set_last_access(row_id, now);
-        Arc::new(ImrsRow {
+    ) -> Self {
+        ImrsRow {
             row_id,
             partition,
             origin,
-            chain: Mutex::new(()),
-            enqueued: AtomicBool::new(false),
-            ridmap,
-            arena,
-        })
+            store,
+        }
     }
 
     /// Claim queue membership. Returns `true` when the caller should
     /// enqueue the row (it was not in a queue before).
     pub fn try_mark_enqueued(&self) -> bool {
-        btrim_common::atomics::witness(
-            "crates/imrs/src/row.rs",
-            "enqueued",
-            btrim_common::atomics::AtomicOp::Rmw,
-            Ordering::AcqRel,
-        );
-        !self.enqueued.swap(true, Ordering::AcqRel)
+        self.store.ridmap().try_mark_enqueued(self.row_id)
     }
 
     /// Release queue membership (row popped and not re-queued).
     pub fn clear_enqueued(&self) {
-        self.enqueued.store(false, Ordering::Release);
+        self.store.ridmap().clear_enqueued(self.row_id);
     }
 
     /// Record an access for hotness tracking (cheap; relaxed stores).
     pub fn touch(&self, now: Timestamp) {
-        self.ridmap.touch(self.row_id, now);
+        self.store.ridmap().touch(self.row_id, now);
     }
 
     /// Last recorded access timestamp.
     pub fn last_access(&self) -> Timestamp {
-        self.ridmap.last_access(self.row_id)
+        self.store.ridmap().last_access(self.row_id)
     }
 
     /// Total re-use operations recorded on this row.
     pub fn reuse_count(&self) -> u64 {
-        self.ridmap.reuse_count(self.row_id)
+        self.store.ridmap().reuse_count(self.row_id)
+    }
+
+    fn head(&self) -> u64 {
+        self.store.ridmap().head(self.row_id)
     }
 
     /// Push a new version at the head of the chain. `commit_ts` is
     /// `Some` only for pre-stamped versions (recovery replay).
-    pub fn push_version(
+    pub(crate) fn push_version(
         &self,
         txn: TxnId,
         op: VersionOp,
-        handle: Option<crate::alloc::FragHandle>,
+        handle: Option<FragHandle>,
         commit_ts: Option<Timestamp>,
     ) -> VersionRef {
-        let _g = self.chain.lock();
-        let link = self.arena.push(
-            self.ridmap.head_cell(self.row_id),
+        let arena = self.store.arena();
+        let _g = self.store.latch(self.row_id).lock();
+        let link = arena.push(
+            self.store.ridmap().head_cell(self.row_id),
             txn,
             op,
             handle,
             commit_ts,
         );
-        VersionRef::new(Arc::clone(&self.arena), link)
+        VersionRef::new(Arc::clone(arena), link)
     }
 
     /// Newest version visible to `(snapshot, reader)`; `None` if the row
     /// did not exist yet at that snapshot. Lock-free.
     pub fn visible_version(&self, snapshot: Timestamp, reader: TxnId) -> Option<VersionView> {
-        self.arena
-            .visible_from(self.ridmap.head(self.row_id), snapshot, reader)
+        self.store
+            .arena()
+            .visible_from(self.head(), snapshot, reader)
     }
 
     /// Newest committed version regardless of snapshot (pack and GC use
     /// this: they operate on the latest committed image). Lock-free.
     pub fn latest_committed(&self) -> Option<VersionView> {
-        self.arena
-            .latest_committed_from(self.ridmap.head(self.row_id))
+        self.store
+            .arena()
+            .latest_committed_from(self.head())
             .map(|(_, v)| v)
     }
 
     /// Newest version (possibly uncommitted). Used by write conflict
     /// detection.
     pub fn newest(&self) -> Option<VersionView> {
-        match self.ridmap.head(self.row_id) {
+        match self.head() {
             0 => None,
-            link => Some(self.arena.view(link)),
+            link => Some(self.store.arena().view(link)),
         }
     }
 
@@ -165,26 +153,22 @@ impl ImrsRow {
     /// newer snapshot from then on finds the rewired chain, so the
     /// horizon passing the timestamp proves no walker holds these nodes.
     /// Returns bytes released.
-    pub fn rollback_txn(
-        &self,
-        txn: TxnId,
-        alloc: &FragmentAllocator,
-        now: impl Fn() -> Timestamp,
-    ) -> usize {
-        let _g = self.chain.lock();
-        let head_cell = self.ridmap.head_cell(self.row_id);
+    pub(crate) fn rollback_txn(&self, txn: TxnId, now: impl Fn() -> Timestamp) -> usize {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.latch(self.row_id).lock();
+        let head_cell = self.store.ridmap().head_cell(self.row_id);
         let mut freed = 0;
         let mut unlinked = Vec::new();
         let mut parent = 0u64; // 0 = the head cell itself
         let mut link = head_cell.load(Ordering::Acquire);
         while link != 0 {
-            let v = self.arena.view(link);
-            let next = self.arena.prev(link);
+            let v = arena.view(link);
+            let next = arena.prev(link);
             if v.txn == txn && v.commit_ts.is_none() {
                 if parent == 0 {
                     head_cell.store(next, Ordering::Release);
                 } else {
-                    self.arena.set_prev(parent, next);
+                    arena.set_prev(parent, next);
                 }
                 if let Some(h) = v.handle {
                     freed += h.alloc_len();
@@ -199,7 +183,7 @@ impl ImrsRow {
         if !unlinked.is_empty() {
             let ts = now();
             for link in unlinked {
-                self.arena.retire_node(link, ts);
+                arena.retire_node(link, ts);
             }
         }
         freed
@@ -215,36 +199,33 @@ impl ImrsRow {
     /// This is the work the paper's IMRS-GC threads perform to "reclaim
     /// memory from older versions without affecting transaction
     /// performance" (§II).
-    pub fn truncate_versions(&self, oldest_active: Timestamp, alloc: &FragmentAllocator) -> usize {
-        let _g = self.chain.lock();
-        let mut keep = self.ridmap.head(self.row_id);
+    pub(crate) fn truncate_versions(&self, oldest_active: Timestamp) -> usize {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.latch(self.row_id).lock();
+        let mut keep = self.head();
         while keep != 0 {
-            if self
-                .arena
-                .commit_ts(keep)
-                .is_some_and(|ts| ts <= oldest_active)
-            {
+            if arena.commit_ts(keep).is_some_and(|ts| ts <= oldest_active) {
                 break;
             }
-            keep = self.arena.prev(keep);
+            keep = arena.prev(keep);
         }
         if keep == 0 {
             return 0; // nothing old enough to cut below
         }
-        let mut tail = self.arena.prev(keep);
+        let mut tail = arena.prev(keep);
         if tail == 0 {
             return 0;
         }
-        self.arena.set_prev(keep, 0);
+        arena.set_prev(keep, 0);
         let mut freed = 0;
         while tail != 0 {
-            let v = self.arena.view(tail);
-            let next = self.arena.prev(tail);
+            let v = arena.view(tail);
+            let next = arena.prev(tail);
             if let Some(h) = v.handle {
                 freed += h.alloc_len();
                 alloc.free(h);
             }
-            self.arena.free_node(tail);
+            arena.free_node(tail);
             tail = next;
         }
         freed
@@ -257,42 +238,33 @@ impl ImrsRow {
     }
 
     /// Number of versions currently chained (tests / stats). Takes the
-    /// chain mutex: a structural walk must not race truncation.
+    /// chain latch: a structural walk must not race truncation.
     pub fn version_count(&self) -> usize {
-        let _g = self.chain.lock();
-        let mut n = 0;
-        let mut link = self.ridmap.head(self.row_id);
-        while link != 0 {
-            n += 1;
-            link = self.arena.prev(link);
-        }
-        n
+        self.walk(|_| ()).len()
     }
 
     /// Chain summary, newest first: `(commit_ts, op)` per version
     /// (debugging / diagnostics).
     pub fn chain_summary(&self) -> Vec<(Option<Timestamp>, VersionOp)> {
-        let _g = self.chain.lock();
-        let mut out = Vec::new();
-        let mut link = self.ridmap.head(self.row_id);
-        while link != 0 {
-            let v = self.arena.view(link);
-            out.push((v.commit_ts, v.op));
-            link = self.arena.prev(link);
-        }
-        out
+        self.walk(|v| (v.commit_ts, v.op))
     }
 
     /// Total IMRS bytes pinned by this row's chain.
     pub fn memory(&self) -> usize {
-        let _g = self.chain.lock();
-        let mut bytes = 0;
-        let mut link = self.ridmap.head(self.row_id);
+        self.walk(|v| v.memory()).into_iter().sum()
+    }
+
+    /// Map every chained version, newest first, under the chain latch.
+    fn walk<T>(&self, mut f: impl FnMut(&VersionView) -> T) -> Vec<T> {
+        let arena = self.store.arena();
+        let _g = self.store.latch(self.row_id).lock();
+        let mut out = Vec::new();
+        let mut link = self.head();
         while link != 0 {
-            bytes += self.arena.view(link).memory();
-            link = self.arena.prev(link);
+            out.push(f(&arena.view(link)));
+            link = arena.prev(link);
         }
-        bytes
+        out
     }
 
     /// Drop the whole chain. Called when the row leaves the IMRS (pack,
@@ -305,26 +277,28 @@ impl ImrsRow {
     /// so the horizon passing it proves no walker remains. Returns
     /// bytes released (from the store's accounting immediately;
     /// physical reuse is deferred).
-    pub fn free_all(&self, alloc: &FragmentAllocator, now: impl Fn() -> Timestamp) -> usize {
-        let _g = self.chain.lock();
-        let mut link = self.ridmap.head_cell(self.row_id).swap(0, Ordering::AcqRel);
+    pub(crate) fn free_all(&self, now: impl Fn() -> Timestamp) -> usize {
+        let (arena, alloc) = (self.store.arena(), self.store.allocator());
+        let _g = self.store.latch(self.row_id).lock();
+        let head_cell = self.store.ridmap().head_cell(self.row_id);
+        let mut link = head_cell.swap(0, Ordering::AcqRel);
         let ts = now();
         let mut freed = 0;
         while link != 0 {
-            let v = self.arena.view(link);
-            let next = self.arena.prev(link);
+            let v = arena.view(link);
+            let next = arena.prev(link);
             if let Some(h) = v.handle {
                 freed += h.alloc_len();
                 alloc.retire(h, ts);
             }
-            self.arena.retire_node(link, ts);
+            arena.retire_node(link, ts);
             link = next;
         }
         freed
     }
 }
 
-impl std::fmt::Debug for ImrsRow {
+impl std::fmt::Debug for ImrsRow<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ImrsRow")
             .field("row_id", &self.row_id)
@@ -338,57 +312,43 @@ impl std::fmt::Debug for ImrsRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ridmap::RidMap;
 
-    struct Fixture {
-        ridmap: Arc<RidMap>,
-        arena: Arc<VersionArena>,
-        alloc: FragmentAllocator,
+    fn store() -> ImrsStore {
+        ImrsStore::new(1024 * 1024, 64 * 1024, Arc::new(RidMap::new()))
     }
 
-    fn fixture() -> Fixture {
-        Fixture {
-            ridmap: Arc::new(RidMap::new()),
-            arena: Arc::new(VersionArena::new()),
-            alloc: FragmentAllocator::new(1024 * 1024, 64 * 1024),
-        }
+    fn row(s: &ImrsStore, origin: RowOrigin) -> ImrsRow<'_> {
+        let id = s.ridmap().allocate_row_id();
+        s.insert_row_committed(id, PartitionId(0), origin, TxnId(1), b"v0", Timestamp(1))
+            .unwrap()
+            .0
     }
 
-    impl Fixture {
-        fn row(&self, origin: RowOrigin) -> Arc<ImrsRow> {
-            let id = self.ridmap.allocate_row_id();
-            ImrsRow::new(
-                id,
-                PartitionId(0),
-                origin,
-                Arc::clone(&self.ridmap),
-                Arc::clone(&self.arena),
-                Timestamp(10),
-            )
-        }
+    fn push_committed(s: &ImrsStore, row: &ImrsRow<'_>, txn: u64, ts: u64, data: &[u8]) {
+        s.add_version(row, TxnId(txn), VersionOp::Update, Some(data))
+            .unwrap()
+            .stamp(Timestamp(ts));
+    }
 
-        fn push_committed(&self, row: &ImrsRow, txn: u64, ts: u64, data: &[u8]) -> VersionRef {
-            let h = self.alloc.alloc(data).unwrap();
-            row.push_version(TxnId(txn), VersionOp::Update, Some(h), Some(Timestamp(ts)))
-        }
-
-        fn load(&self, v: &VersionView) -> Vec<u8> {
-            self.alloc.load(v.handle.unwrap())
-        }
+    fn load(s: &ImrsStore, v: &VersionView) -> Vec<u8> {
+        s.allocator().load(v.handle.unwrap())
     }
 
     #[test]
     fn snapshot_reads_see_correct_version() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"v1");
-        f.push_committed(&row, 2, 20, b"v2");
-        f.push_committed(&row, 3, 30, b"v3");
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"v1");
+        push_committed(&s, &row, 2, 20, b"v2");
+        push_committed(&s, &row, 3, 30, b"v3");
 
         let read = |snap: u64| {
             row.visible_version(Timestamp(snap), TxnId(99))
-                .map(|v| f.load(&v))
+                .map(|v| load(&s, &v))
         };
-        assert_eq!(read(5), None);
+        assert_eq!(read(0), None);
+        assert_eq!(read(5).unwrap(), b"v0");
         assert_eq!(read(10).unwrap(), b"v1");
         assert_eq!(read(25).unwrap(), b"v2");
         assert_eq!(read(30).unwrap(), b"v3");
@@ -397,91 +357,101 @@ mod tests {
 
     #[test]
     fn own_uncommitted_writes_visible_only_to_writer() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"committed");
-        let h = f.alloc.alloc(b"pending").unwrap();
-        row.push_version(TxnId(7), VersionOp::Update, Some(h), None);
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"committed");
+        s.add_version(&row, TxnId(7), VersionOp::Update, Some(b"pending"))
+            .unwrap();
 
         let mine = row.visible_version(Timestamp(10), TxnId(7)).unwrap();
-        assert_eq!(f.load(&mine), b"pending");
+        assert_eq!(load(&s, &mine), b"pending");
         let theirs = row.visible_version(Timestamp(10), TxnId(8)).unwrap();
-        assert_eq!(f.load(&theirs), b"committed");
+        assert_eq!(load(&s, &theirs), b"committed");
     }
 
     #[test]
     fn stamping_a_version_ref_publishes_it() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        let h = f.alloc.alloc(b"new").unwrap();
-        let vref = row.push_version(TxnId(7), VersionOp::Insert, Some(h), None);
+        let s = store();
+        let (row, vref) = s
+            .insert_row(
+                RowId(5),
+                PartitionId(0),
+                RowOrigin::Inserted,
+                TxnId(7),
+                b"new",
+                Timestamp(1),
+            )
+            .unwrap();
         assert!(row.visible_version(Timestamp(100), TxnId(8)).is_none());
         vref.stamp(Timestamp(50));
         let seen = row.visible_version(Timestamp(100), TxnId(8)).unwrap();
         assert_eq!(seen.commit_ts, Some(Timestamp(50)));
-        assert_eq!(f.load(&seen), b"new");
+        assert_eq!(load(&s, &seen), b"new");
     }
 
     #[test]
     fn truncate_reclaims_old_versions_only() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"v1");
-        f.push_committed(&row, 2, 20, b"v2");
-        f.push_committed(&row, 3, 30, b"v3");
-        assert_eq!(row.version_count(), 3);
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"v1");
+        push_committed(&s, &row, 2, 20, b"v2");
+        push_committed(&s, &row, 3, 30, b"v3");
+        assert_eq!(row.version_count(), 4);
 
         // Oldest active snapshot at 25: v2 (ts 20) is still needed,
-        // v1 is unreachable.
-        let freed = row.truncate_versions(Timestamp(25), &f.alloc);
+        // v1 and v0 are unreachable.
+        let freed = row.truncate_versions(Timestamp(25));
         assert!(freed > 0);
         assert_eq!(row.version_count(), 2);
         // Snapshot at 25 still reads v2.
         let v = row.visible_version(Timestamp(25), TxnId(99)).unwrap();
-        assert_eq!(f.load(&v), b"v2");
+        assert_eq!(load(&s, &v), b"v2");
 
         // Oldest active at 100: only v3 remains.
-        row.truncate_versions(Timestamp(100), &f.alloc);
+        row.truncate_versions(Timestamp(100));
         assert_eq!(row.version_count(), 1);
     }
 
     #[test]
     fn rollback_removes_only_that_txns_uncommitted_versions() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"v1");
-        let h = f.alloc.alloc(b"doomed").unwrap();
-        row.push_version(TxnId(5), VersionOp::Update, Some(h), None);
-        let used_before = f.alloc.used_bytes();
-        let freed = row.rollback_txn(TxnId(5), &f.alloc, || Timestamp(11));
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"v1");
+        s.add_version(&row, TxnId(5), VersionOp::Update, Some(b"doomed"))
+            .unwrap();
+        let used_before = s.used_bytes();
+        let freed = row.rollback_txn(TxnId(5), || Timestamp(11));
         assert!(freed > 0);
-        assert_eq!(f.alloc.used_bytes(), used_before - freed as u64);
-        assert_eq!(row.version_count(), 1);
+        assert_eq!(s.used_bytes(), used_before - freed as u64);
+        assert_eq!(row.version_count(), 2);
         let v = row.visible_version(Timestamp(10), TxnId(5)).unwrap();
-        assert_eq!(f.load(&v), b"v1");
+        assert_eq!(load(&s, &v), b"v1");
     }
 
     #[test]
     fn rollback_quarantines_nodes_for_straggling_readers() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"v1");
-        row.push_version(TxnId(5), VersionOp::Update, None, None);
-        assert_eq!(f.arena.quarantined_nodes(), 0);
-        row.rollback_txn(TxnId(5), &f.alloc, || Timestamp(11));
-        assert_eq!(f.arena.quarantined_nodes(), 1);
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"v1");
+        s.add_version(&row, TxnId(5), VersionOp::Delete, None)
+            .unwrap();
+        assert_eq!(s.arena().quarantined_nodes(), 0);
+        row.rollback_txn(TxnId(5), || Timestamp(11));
+        assert_eq!(s.arena().quarantined_nodes(), 1);
         // The node only recycles once the horizon passes the rollback.
-        assert_eq!(f.arena.reclaim(Timestamp(11)), 0);
-        assert_eq!(f.arena.reclaim(Timestamp(12)), 1);
+        assert_eq!(s.arena().reclaim(Timestamp(11)), 0);
+        assert_eq!(s.arena().reclaim(Timestamp(12)), 1);
     }
 
     #[test]
     fn tombstone_marks_row_deleted() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"v1");
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 1, 10, b"v1");
         assert!(!row.is_deleted());
-        row.push_version(TxnId(2), VersionOp::Delete, None, Some(Timestamp(20)));
+        s.add_version(&row, TxnId(2), VersionOp::Delete, None)
+            .unwrap()
+            .stamp(Timestamp(20));
         assert!(row.is_deleted());
         // Snapshot before the delete still sees the row.
         let v = row.visible_version(Timestamp(15), TxnId(99)).unwrap();
@@ -490,8 +460,9 @@ mod tests {
 
     #[test]
     fn touch_updates_hotness() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Cached);
+        let s = store();
+        let row = row(&s, RowOrigin::Cached);
+        assert_eq!(row.origin, RowOrigin::Cached);
         assert_eq!(row.reuse_count(), 0);
         row.touch(Timestamp(42));
         row.touch(Timestamp(43));
@@ -501,21 +472,19 @@ mod tests {
 
     #[test]
     fn free_all_quarantines_everything() {
-        let f = fixture();
-        let row = f.row(RowOrigin::Inserted);
-        f.push_committed(&row, 1, 10, b"version one");
-        f.push_committed(&row, 2, 20, b"version two");
+        let s = store();
+        let row = row(&s, RowOrigin::Inserted);
+        push_committed(&s, &row, 2, 20, b"version two");
         assert!(row.memory() > 0);
-        row.free_all(&f.alloc, || Timestamp(21));
+        row.free_all(|| Timestamp(21));
         assert_eq!(row.memory(), 0);
         // Accounting drops immediately; physical reuse waits for the
         // horizon to pass the teardown timestamp.
-        assert_eq!(f.alloc.used_bytes(), 0);
-        assert!(f.alloc.quarantined_bytes() > 0);
-        assert_eq!(f.arena.quarantined_nodes(), 2);
-        f.alloc.reclaim(Timestamp(22));
-        f.arena.reclaim(Timestamp(22));
-        assert_eq!(f.alloc.quarantined_bytes(), 0);
-        assert_eq!(f.arena.quarantined_nodes(), 0);
+        assert_eq!(s.used_bytes(), 0);
+        assert!(s.allocator().quarantined_bytes() > 0);
+        assert_eq!(s.arena().quarantined_nodes(), 2);
+        s.reclaim(Timestamp(22));
+        assert_eq!(s.allocator().quarantined_bytes(), 0);
+        assert_eq!(s.arena().quarantined_nodes(), 0);
     }
 }

@@ -1,24 +1,28 @@
-//! The IMRS row directory with per-partition memory accounting.
+//! The IMRS row store with per-partition memory accounting.
 //!
-//! [`ImrsStore`] owns the fragment allocator, the version arena and a
-//! sharded map from `RowId` to [`ImrsRow`]. Every mutation goes through
-//! the store so the per-partition counters — "Partition-specific
+//! [`ImrsStore`] owns the fragment allocator, the version arena and the
+//! striped chain latches; it keeps no row directory. A row is resident
+//! when its RID-Map entry's residency bit is set, and [`get`](ImrsStore::get)
+//! is a direct index into that entry returning a borrowed [`ImrsRow`]
+//! handle — no lock, no hash, no reference count. Every mutation goes
+//! through the store so the per-partition counters — "Partition-specific
 //! IMRS-memory used, number of rows stored in-memory for a partition"
 //! (§V.A) — never drift from the allocator. Those counters are the raw
 //! input to the Cache Utilization Index and the pack-cycle byte
 //! apportioning (§VI.C).
 //!
-//! The store shards are a *writer-side* directory: the snapshot read
-//! path never touches them — it resolves rows through the RID-Map entry
-//! (head link) and the arena, both lock-free. Teardown paths therefore
-//! take a `now` timestamp so freed chain nodes and fragments quarantine
-//! until the snapshot horizon passes (see [`reclaim`](ImrsStore::reclaim)).
+//! Readers (the engine's point reads and snapshot reads) resolve rows
+//! through the same lock-free path: a residency check, then the chain
+//! head and the arena, all atomics. A reader can therefore be mid-walk
+//! while a row is torn down, so teardown paths take a `now` timestamp
+//! and freed chain nodes and fragments quarantine until the snapshot
+//! horizon passes (see [`reclaim`](ImrsStore::reclaim)).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use btrim_common::{PartitionId, Result, RowId, Timestamp, TxnId};
 
@@ -28,7 +32,8 @@ use crate::ridmap::RidMap;
 use crate::row::{ImrsRow, RowOrigin};
 use crate::version::VersionOp;
 
-const SHARDS: usize = 64;
+/// Chain latch stripes (a power of two; dense row ids spread evenly).
+const LATCH_STRIPES: usize = 1024;
 
 /// Per-partition IMRS usage counters.
 #[derive(Debug, Default)]
@@ -54,19 +59,27 @@ pub struct ImrsStore {
     alloc: Arc<FragmentAllocator>,
     arena: Arc<VersionArena>,
     ridmap: Arc<RidMap>,
-    shards: Vec<RwLock<HashMap<RowId, Arc<ImrsRow>>>>,
+    /// Striped per-row chain latches: serialize structural changes to
+    /// one row's chain. Ranked, so the debug witness rejects holding two.
+    latches: Box<[Mutex<()>]>,
+    /// Resident rows across all partitions.
+    resident: AtomicI64,
     usage: RwLock<HashMap<PartitionId, Arc<PartitionUsage>>>,
 }
 
 impl ImrsStore {
     /// Create a store with a memory budget. The RID-Map is shared with
-    /// the engine: version-chain heads live in its entries.
+    /// the engine: residency, partition and chain heads live in its
+    /// entries.
     pub fn new(budget_bytes: u64, chunk_size: u32, ridmap: Arc<RidMap>) -> Self {
         ImrsStore {
             alloc: Arc::new(FragmentAllocator::new(budget_bytes, chunk_size)),
             arena: Arc::new(VersionArena::new()),
             ridmap,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            latches: (0..LATCH_STRIPES)
+                .map(|_| Mutex::with_rank(parking_lot::lock_rank::IMRS_CHAIN, ()))
+                .collect(),
+            resident: AtomicI64::new(0),
             usage: RwLock::new(HashMap::new()),
         }
     }
@@ -79,6 +92,16 @@ impl ImrsStore {
     /// The version arena (the snapshot read path walks it directly).
     pub fn arena(&self) -> &Arc<VersionArena> {
         &self.arena
+    }
+
+    /// The RID-Map holding every row's IMRS state.
+    pub(crate) fn ridmap(&self) -> &Arc<RidMap> {
+        &self.ridmap
+    }
+
+    /// The chain latch stripe guarding `row`.
+    pub(crate) fn latch(&self, row: RowId) -> &Mutex<()> {
+        &self.latches[row.0 as usize & (LATCH_STRIPES - 1)]
     }
 
     /// IMRS bytes in use (all partitions).
@@ -113,12 +136,6 @@ impl ImrsStore {
         (nodes, bytes)
     }
 
-    #[inline]
-    fn shard(&self, row: RowId) -> &RwLock<HashMap<RowId, Arc<ImrsRow>>> {
-        let h = (row.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        &self.shards[h % SHARDS]
-    }
-
     /// Usage counters for a partition (created on first use).
     pub fn usage(&self, partition: PartitionId) -> Arc<PartitionUsage> {
         if let Some(u) = self.usage.read().get(&partition) {
@@ -126,6 +143,19 @@ impl ImrsStore {
         }
         let mut map = self.usage.write();
         Arc::clone(map.entry(partition).or_default())
+    }
+
+    /// Add `bytes` and `rows` to a partition's counters.
+    fn account(&self, partition: PartitionId, bytes: i64, rows: i64) {
+        let add = |u: &PartitionUsage| {
+            u.bytes.fetch_add(bytes, Ordering::Relaxed);
+            u.rows.fetch_add(rows, Ordering::Relaxed);
+        };
+        if let Some(u) = self.usage.read().get(&partition) {
+            add(u);
+            return;
+        }
+        add(&self.usage(partition));
     }
 
     /// Snapshot of every partition's usage.
@@ -147,7 +177,7 @@ impl ImrsStore {
         txn: TxnId,
         data: &[u8],
         now: Timestamp,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         self.insert_with(row_id, partition, origin, txn, data, now, None)
     }
 
@@ -161,7 +191,7 @@ impl ImrsStore {
         txn: TxnId,
         data: &[u8],
         ts: Timestamp,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         self.insert_with(row_id, partition, origin, txn, data, ts, Some(ts))
     }
 
@@ -175,29 +205,25 @@ impl ImrsStore {
         data: &[u8],
         now: Timestamp,
         commit_ts: Option<Timestamp>,
-    ) -> Result<(Arc<ImrsRow>, VersionRef)> {
+    ) -> Result<(ImrsRow<'_>, VersionRef)> {
         let handle = self.alloc.alloc(data)?;
         let bytes = handle.alloc_len() as i64;
-        let row = ImrsRow::new(
-            row_id,
-            partition,
-            origin,
-            Arc::clone(&self.ridmap),
-            Arc::clone(&self.arena),
-            now,
-        );
+        // Fields first, then the first version, then residency: a
+        // lookup that sees the row resident sees its chain.
+        self.ridmap.admit(row_id, partition, origin, now);
+        let row = ImrsRow::new(self, row_id, partition, origin);
         let vref = row.push_version(txn, VersionOp::Insert, Some(handle), commit_ts);
-        self.shard(row_id).write().insert(row_id, Arc::clone(&row));
-        let u = self.usage(partition);
-        u.bytes.fetch_add(bytes, Ordering::Relaxed);
-        u.rows.fetch_add(1, Ordering::Relaxed);
+        let fresh = self.ridmap.set_resident(row_id);
+        debug_assert!(fresh, "{row_id:?} inserted while resident");
+        self.account(partition, bytes, fresh as i64);
+        self.resident.fetch_add(fresh as i64, Ordering::Relaxed);
         Ok((row, vref))
     }
 
     /// Add an (uncommitted) version to a resident row.
     pub fn add_version(
         &self,
-        row: &ImrsRow,
+        row: &ImrsRow<'_>,
         txn: TxnId,
         op: VersionOp,
         data: Option<&[u8]>,
@@ -208,72 +234,74 @@ impl ImrsStore {
         };
         let bytes = handle.map_or(0, |h| h.alloc_len()) as i64;
         let vref = row.push_version(txn, op, handle, None);
-        self.usage(row.partition)
-            .bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.account(row.partition, bytes, 0);
         Ok(vref)
     }
 
-    /// Fetch a resident row.
-    pub fn get(&self, row_id: RowId) -> Option<Arc<ImrsRow>> {
-        self.shard(row_id).read().get(&row_id).cloned()
+    /// Fetch a resident row: one acquire load of its RID-Map entry.
+    pub fn get(&self, row_id: RowId) -> Option<ImrsRow<'_>> {
+        let (partition, origin) = self.ridmap.resident(row_id)?;
+        Some(ImrsRow::new(self, row_id, partition, origin))
     }
 
     /// Whether the row is resident.
     pub fn contains(&self, row_id: RowId) -> bool {
-        self.shard(row_id).read().contains_key(&row_id)
+        self.ridmap.resident(row_id).is_some()
     }
 
     /// Remove a row (pack completion, or GC of a fully-dead row). Its
     /// chain is quarantined — accounting drops immediately, physical
     /// reuse waits for the snapshot horizon — because a lock-free
     /// reader may still be walking it. `now` is a closure (usually the
-    /// commit clock) read *after* the chain head is detached; see
-    /// [`ImrsRow::free_all`]. Returns the row if it was resident.
-    pub fn remove_row(&self, row_id: RowId, now: impl Fn() -> Timestamp) -> Option<Arc<ImrsRow>> {
-        let row = self.shard(row_id).write().remove(&row_id)?;
-        let freed = row.free_all(&self.alloc, now) as i64;
-        let u = self.usage(row.partition);
-        u.bytes.fetch_sub(freed, Ordering::Relaxed);
-        u.rows.fetch_sub(1, Ordering::Relaxed);
-        Some(row)
+    /// commit clock) read *after* the chain head is detached. Clearing
+    /// the residency bit is one atomic RMW, so among concurrent callers
+    /// exactly one removes the row; returns whether this call did.
+    pub fn remove_row(&self, row_id: RowId, now: impl Fn() -> Timestamp) -> bool {
+        let Some((partition, origin)) = self.ridmap.clear_resident(row_id) else {
+            return false;
+        };
+        let freed = ImrsRow::new(self, row_id, partition, origin).free_all(now) as i64;
+        self.account(partition, -freed, -1);
+        self.resident.fetch_sub(1, Ordering::Relaxed);
+        true
     }
 
     /// Roll back a transaction's versions on a row, with accounting.
     /// `now` (read after the unlinks) timestamps the node quarantine.
-    pub fn rollback_row(&self, row: &ImrsRow, txn: TxnId, now: impl Fn() -> Timestamp) {
-        let freed = row.rollback_txn(txn, &self.alloc, now) as i64;
+    /// The row need not be resident any more (an aborted insert is
+    /// removed by its undo first; its chain is then already empty).
+    pub fn rollback_row(&self, row_id: RowId, txn: TxnId, now: impl Fn() -> Timestamp) {
+        let Some((partition, origin)) = self.ridmap.admitted(row_id) else {
+            return; // never admitted: no chain
+        };
+        let freed = ImrsRow::new(self, row_id, partition, origin).rollback_txn(txn, now) as i64;
         if freed > 0 {
-            self.usage(row.partition)
-                .bytes
-                .fetch_sub(freed, Ordering::Relaxed);
+            self.account(partition, -freed, 0);
         }
     }
 
     /// GC one row's chain below the oldest-active snapshot, with
     /// accounting. Returns bytes freed.
-    pub fn truncate_row(&self, row: &ImrsRow, oldest_active: Timestamp) -> usize {
-        let freed = row.truncate_versions(oldest_active, &self.alloc);
+    pub fn truncate_row(&self, row: &ImrsRow<'_>, oldest_active: Timestamp) -> usize {
+        let freed = row.truncate_versions(oldest_active);
         if freed > 0 {
-            self.usage(row.partition)
-                .bytes
-                .fetch_sub(freed as i64, Ordering::Relaxed);
+            self.account(row.partition, -(freed as i64), 0);
         }
         freed
     }
 
     /// Number of resident rows across all partitions.
     pub fn row_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.resident.load(Ordering::Relaxed).max(0) as usize
     }
 
-    /// Visit every resident row (stats, tests, queue rebuild).
-    pub fn for_each_row(&self, mut f: impl FnMut(&Arc<ImrsRow>)) {
-        for shard in &self.shards {
-            for row in shard.read().values() {
-                f(row);
-            }
-        }
+    /// Visit every resident row in row-id order (stats, analytic scans,
+    /// recovery, tests). Walks the RID-Map, so it costs one load per
+    /// row id ever mapped.
+    pub fn for_each_row(&self, mut f: impl FnMut(ImrsRow<'_>)) {
+        self.ridmap.for_each_resident(|row_id, partition, origin| {
+            f(ImrsRow::new(self, row_id, partition, origin))
+        });
     }
 }
 
@@ -325,7 +353,7 @@ mod tests {
         assert!(u.bytes() >= 1000);
 
         for i in 0..5u64 {
-            s.remove_row(RowId(i), || Timestamp(2)).unwrap();
+            assert!(s.remove_row(RowId(i), || Timestamp(2)));
         }
         assert_eq!(u.rows(), 5);
         assert_eq!(u.bytes(), s.used_bytes());
@@ -393,7 +421,7 @@ mod tests {
         let before = s.usage(PartitionId(0)).bytes();
         s.add_version(&row, TxnId(9), VersionOp::Update, Some(&[0u8; 200]))
             .unwrap();
-        s.rollback_row(&row, TxnId(9), || Timestamp(3));
+        s.rollback_row(row.row_id, TxnId(9), || Timestamp(3));
         assert_eq!(s.usage(PartitionId(0)).bytes(), before);
         assert_eq!(row.version_count(), 1);
     }
@@ -431,13 +459,26 @@ mod tests {
             Timestamp(1),
         )
         .unwrap();
-        s.remove_row(RowId(1), || Timestamp(5)).unwrap();
+        assert!(s.remove_row(RowId(1), || Timestamp(5)));
+        assert!(!s.remove_row(RowId(1), || Timestamp(5)), "one remover");
+        assert_eq!(s.row_count(), 0);
         assert_eq!(s.used_bytes(), 0);
         assert!(s.allocator().quarantined_bytes() > 0);
         let (nodes, bytes) = s.reclaim(Timestamp(6));
         assert_eq!(nodes, 1);
         assert!(bytes > 0);
         assert_eq!(s.allocator().quarantined_bytes(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-rank violation")]
+    fn holding_two_chain_latches_trips_the_witness() {
+        // Two rows may share a stripe, so a second latch could
+        // self-deadlock; the rank witness rejects any nesting.
+        let s = store();
+        let _a = s.latch(RowId(1)).lock();
+        let _b = s.latch(RowId(2)).lock();
     }
 
     #[test]
@@ -454,10 +495,15 @@ mod tests {
             )
             .unwrap();
         }
-        let mut seen = 0;
-        s.for_each_row(|_| seen += 1);
-        assert_eq!(seen, 50);
+        s.remove_row(RowId(7), || Timestamp(2));
+        let mut seen = Vec::new();
+        s.for_each_row(|r| seen.push((r.row_id, r.partition)));
+        assert_eq!(seen.len(), 49);
+        assert!(seen
+            .iter()
+            .all(|&(r, p)| r != RowId(7) && p.0 as u64 == r.0 % 3));
+        assert_eq!(s.row_count(), 49);
         let total: u64 = s.all_usage().iter().map(|(_, _, rows)| rows).sum();
-        assert_eq!(total, 50);
+        assert_eq!(total, 49);
     }
 }

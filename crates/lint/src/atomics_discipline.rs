@@ -159,19 +159,13 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     (
         "crates/imrs/src/ridmap.rs",
         "part",
-        P_RELAXED,
-        "written before `loc` publishes the entry; riders on that Release",
+        P_ACQREL,
+        "IMRS meta word: AcqRel RMWs flip residency (publishes the row) and the queue claim",
     ),
     ("crates/imrs/src/ridmap.rs", "last_access", P_RELAXED, "hotness hint"),
     ("crates/imrs/src/ridmap.rs", "reuse", P_RELAXED, "slot-generation hint"),
     ("crates/imrs/src/ridmap.rs", "next_row_id", P_RELAXED, "id allocator (fetch_add/fetch_max)"),
     ("crates/imrs/src/ridmap.rs", "mapped", P_RELAXED, "entry counter"),
-    (
-        "crates/imrs/src/row.rs",
-        "enqueued",
-        P_ACQREL,
-        "pack-queue claim flag: AcqRel swap decides one enqueuer; Release store reopens",
-    ),
     (
         "crates/imrs/src/row.rs",
         "head_cell",
@@ -180,6 +174,7 @@ pub const ATOMIC_FIELDS: &[(&str, &str, u8, &str)] = &[
     ),
     ("crates/imrs/src/store.rs", "bytes", P_RELAXED, "byte accounting"),
     ("crates/imrs/src/store.rs", "rows", P_RELAXED, "row accounting"),
+    ("crates/imrs/src/store.rs", "resident", P_RELAXED, "row accounting"),
     // ----- txn: registry reservation protocol ------------------------
     ("crates/txn/src/manager.rs", "next_txn", P_RELAXED, "id allocator"),
     ("crates/txn/src/manager.rs", "committed", P_RELAXED, "counter"),

@@ -70,6 +70,14 @@ pub const WAL_LOG: u16 = 50;
 pub const TXN_LOG_FLOOR: u16 = 55;
 /// Group-commit generation state (`wal::group::GroupCommitter::state`).
 pub const GROUP_COMMIT: u16 = 60;
+/// IMRS chain latch stripes (`imrs::store::ImrsStore::latches`): one
+/// stripe serializes structural changes to the version chains of the
+/// rows hashed to it. DML, pack, GC and recovery take a stripe while
+/// holding anything up to the group-commit state, and under it touch
+/// only the arena and allocator's unranked leaf mutexes — so it ranks
+/// last. Two rows can share a stripe, so no path may hold two; the
+/// strict rank order makes the witness reject that.
+pub const IMRS_CHAIN: u16 = 70;
 
 /// `(class name, rank)` pairs, ascending — what the lint rule engine
 /// iterates and what witness panic messages cite.
@@ -85,6 +93,7 @@ pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("wal-log", WAL_LOG),
     ("txn-log-floor", TXN_LOG_FLOOR),
     ("group-commit", GROUP_COMMIT),
+    ("imrs-chain", IMRS_CHAIN),
 ];
 
 /// Display name for a rank (panic messages, lint findings).

@@ -139,6 +139,7 @@ pub const LOCK_SITES: &[(&str, &str, u16)] = &[
     ),
     ("crates/wal/src/log.rs", "inner", hierarchy::WAL_LOG),
     ("crates/wal/src/group.rs", "state", hierarchy::GROUP_COMMIT),
+    ("crates/imrs/src/row.rs", "latch", hierarchy::IMRS_CHAIN),
 ];
 
 /// Functions that *themselves* acquire and return a guard (no trailing
